@@ -304,7 +304,7 @@ def _connect_endpoint(value: str) -> "tuple[str, int]":
     return (host or "127.0.0.1", int(port))
 
 
-def _build_cluster_warm_images(state, store, prewarm_accesses: int) -> None:
+def _build_cluster_warm_images(state, store) -> None:
     """Build shared warm images for every forkable pending-task group."""
     from repro.cluster.state import PENDING
     from repro.exec.task import TaskSpec
@@ -312,7 +312,7 @@ def _build_cluster_warm_images(state, store, prewarm_accesses: int) -> None:
 
     entries = [e for e in state.tasks.values() if e.state == PENDING]
     specs = [TaskSpec.from_wire(e.wire) for e in entries]
-    for group in fork_groups(specs, prewarm_accesses):
+    for group in fork_groups(specs):
         image = store.warm_path(group.filename)
         if not image.is_file():
             if len(group.indices) < 2:
@@ -320,13 +320,12 @@ def _build_cluster_warm_images(state, store, prewarm_accesses: int) -> None:
             sample = specs[group.indices[0]]
             print(
                 f"building warm image {group.filename} "
-                f"({len(group.indices)} task(s), "
-                f"{prewarm_accesses} accesses)...",
+                f"({len(group.indices)} task(s))...",
                 flush=True,
             )
             build_warm_image(
                 image, sample.names, sample.config, seed=sample.seed,
-                kind=sample.kind, prewarm_accesses=prewarm_accesses,
+                kind=sample.kind,
             )
         for index in group.indices:
             state.set_warm(entries[index].digest, {
@@ -382,7 +381,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     )
     pruned = coordinator.prune_against_store()
     if args.fork_warm:
-        _build_cluster_warm_images(state, store, args.prewarm_accesses)
+        _build_cluster_warm_images(state, store)
 
     async def _serve() -> dict:
         await coordinator.start()
@@ -1071,7 +1070,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import compare, load_results, run_suite, write_results
 
-    doc = run_suite(repeat=args.repeat, progress=print, engine=args.engine)
+    doc = run_suite(repeat=args.repeat, progress=print)
     write_results(doc, args.output)
     print(f"wrote {args.output} (composite {doc['composite']:.4f})")
     if args.compare is None:
@@ -1356,11 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fork-warm", action="store_true",
         help="build shared warm images into the store; workers fork "
              "mechanism variants from them instead of re-warming",
-    )
-    serve.add_argument(
-        "--prewarm-accesses", type=int, default=200_000, metavar="N",
-        help="functional pre-warm length for --fork-warm "
-             "(default: 200000)",
     )
     serve.set_defaults(func=_cmd_cluster_serve)
 
@@ -1658,11 +1652,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--threshold", type=float, default=0.15, metavar="FRACTION",
         help="allowed composite drop vs the baseline (default: 0.15)",
-    )
-    perf.add_argument(
-        "--engine", default="event", choices=["event", "batch"],
-        help="simulation engine to benchmark (digests are engine-"
-             "invariant, so either compares against the same baseline)",
     )
     perf.set_defaults(func=_cmd_perf)
     return parser

@@ -56,9 +56,9 @@ class VirtualMemory:
         ``keys`` are ``(asid << ASID_SHIFT) | vpage`` integers in
         *first-touch order*: missing pages allocate one frame each, in
         list order, drawing from the allocator RNG exactly as the same
-        sequence of :meth:`translate` calls would. Bulk consumers (the
-        batch engine's pre-warm) rely on that draw-for-draw equivalence
-        to keep snapshots byte-identical across engines.
+        sequence of :meth:`translate` calls would. The vectorized
+        :meth:`~repro.sim.system.System.prewarm` relies on that
+        draw-for-draw equivalence to leave the scalar path's exact state.
 
         Allocation draws are batched: one ``integers(n, size=k)`` call
         consumes the bit stream word-for-word like ``k`` scalar calls,

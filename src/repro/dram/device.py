@@ -82,7 +82,7 @@ class DramChannel:
         # Compiled timing-advance tables: every cross-command spacing
         # that earliest_issue()/issue() needs is a sum of fixed timing
         # parameters, resolved once per parameter set (and shared with
-        # the batch engine — one source of truth for both). Imported
+        # the probe host — one source of truth for both). Imported
         # lazily: repro.engine.tables reads this package's command
         # definitions, so a module-level import would be circular.
         from repro.engine.tables import compile_timing_tables

@@ -1,45 +1,5 @@
-"""Simulation engines: interchangeable drivers for one ``System``.
+"""Precompiled command/timing tables (:mod:`repro.engine.tables`).
 
-An engine owns the three run phases — functional pre-warm, timed
-warm-up, timed measurement — over a fully-built
-:class:`~repro.sim.system.System`. Two engines exist:
-
-* ``event`` — the reference per-event loop (the seed implementation,
-  moved verbatim into :class:`~repro.engine.event.EventEngine`);
-* ``batch`` — the table-driven batch engine
-  (:class:`~repro.engine.batch.BatchEngine`): numpy-vectorized
-  functional warming, precompiled command/timing tables
-  (:mod:`repro.engine.tables`), and a min-wake window driver with the
-  event heap inlined.
-
-Both engines are *step-equivalent*: they make the identical sequence of
-component ``tick()`` and event-callback calls, so every run produces
-byte-identical telemetry digests regardless of engine. The engine is
-selected by ``SystemConfig(engine=...)`` and deliberately excluded from
-config digests — it changes how fast a result is computed, never the
-result.
+:class:`~repro.dram.device.DramChannel` and the raw-command probe host
+read their per-configuration timing constants from these tables.
 """
-
-from __future__ import annotations
-
-from repro.errors import ConfigError
-
-__all__ = ["ENGINE_NAMES", "get_engine"]
-
-#: Valid values for ``SystemConfig.engine``.
-ENGINE_NAMES = ("event", "batch")
-
-
-def get_engine(name: str):
-    """The engine class registered under ``name`` (lazily imported)."""
-    if name == "event":
-        from repro.engine.event import EventEngine
-
-        return EventEngine
-    if name == "batch":
-        from repro.engine.batch import BatchEngine
-
-        return BatchEngine
-    raise ConfigError(
-        f"unknown engine {name!r} (valid: {', '.join(ENGINE_NAMES)})"
-    )

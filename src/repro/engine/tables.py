@@ -16,9 +16,8 @@ module resolves both *once per configuration*:
   hook. The differential tests cross-validate these against the live
   mechanism objects.
 
-Because both engines (and the raw-command probe host) read their timing
-constants from the same compiled tables, an engine cannot drift from
-the reference without the equivalence suite catching it.
+Because the simulator and the raw-command probe host read their timing
+constants from the same compiled tables, the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ __all__ = [
 #: ``open`` — a row must be open; ``any`` — legal either way (PRE on a
 #: closed bank is a timed no-op); ``all-closed`` — every bank in the
 #: channel must be precharged (REF). The bank state machine enforces
-#: these; the table states them once for engines, docs and tests.
+#: these; the table states them once for the device layer, docs and tests.
 COMMAND_LEGALITY: Mapping[CommandKind, str] = MappingProxyType(
     {
         CommandKind.ACT: "closed",

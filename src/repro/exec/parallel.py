@@ -167,7 +167,6 @@ class ParallelCampaign:
         self,
         specs,
         warm_dir: "str | Path",
-        prewarm_accesses: int = 200_000,
         _fn=execute_task,
     ) -> "list[TaskOutcome]":
         """Like :meth:`run`, but fork mechanism variants from warm images.
@@ -198,7 +197,7 @@ class ParallelCampaign:
         ]  # cache hits are served by run(); no warm-up needed
 
         misses = [specs[i] for i in miss_indices]
-        for group in fork_groups(misses, prewarm_accesses):
+        for group in fork_groups(misses):
             image = warm_dir / group.filename
             members = [miss_indices[i] for i in group.indices]
             if not image.is_file() and len(members) < 2:
@@ -209,7 +208,7 @@ class ParallelCampaign:
                 started = time.monotonic()
                 build_warm_image(
                     image, sample.names, sample.config, seed=sample.seed,
-                    kind=sample.kind, prewarm_accesses=prewarm_accesses,
+                    kind=sample.kind,
                 )
                 warm_s = round(time.monotonic() - started, 3)
             self._emit(

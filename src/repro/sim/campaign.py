@@ -54,10 +54,10 @@ CACHE_VERSION = 2
 def config_digest(config: SystemConfig) -> str:
     """Process-stable digest of a :class:`SystemConfig`.
 
-    The ``engine`` field is excluded: both engines produce byte-identical
-    results, so cached campaign entries, warm images and snapshots are
-    valid across engines (and configs predating the field keep their
-    digests).
+    A stale ``engine`` entry is dropped: configs pickled while
+    ``SystemConfig`` still had that (result-neutral) field keep the
+    digest of the same config today, so their cached campaign entries,
+    warm images and snapshots stay valid.
     """
     projection = _jsonable(config)
     projection.pop("engine", None)

@@ -92,12 +92,6 @@ class SystemConfig:
     #: full command stream can be replayed/validated after the run.
     record_commands: bool = False
     seed: int = 1
-    #: Simulation engine: 'event' (the reference step loop) or 'batch'
-    #: (table-driven, numpy-vectorized warm-up and batched min-wake
-    #: stepping). Both produce byte-identical telemetry digests; the
-    #: choice is a performance knob only and is therefore excluded from
-    #: config/campaign digests.
-    engine: str = "event"
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -120,12 +114,6 @@ class SystemConfig:
             raise ConfigError(
                 "check_mode must be 'strict' or 'report', "
                 f"got {self.check_mode!r}"
-            )
-        from repro.engine import ENGINE_NAMES
-
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
             )
 
     def resolved_geometry(self) -> DramGeometry:

@@ -16,7 +16,18 @@ from repro.sim.system import System
 from repro.trace.stream import TraceStream
 from repro.trace.workloads import Workload, workload as lookup_workload
 
-__all__ = ["run_workload", "run_mix", "alone_ipcs", "derive_trace_seed"]
+__all__ = [
+    "run_workload",
+    "run_mix",
+    "alone_ipcs",
+    "derive_trace_seed",
+    "PREWARM_ACCESSES",
+]
+
+#: Functional prewarm length per core for every run these helpers start.
+#: Warm images are built with it and loaded expecting it, so a forked
+#: task and its image cannot disagree.
+PREWARM_ACCESSES = 200_000
 
 
 def _resolve(w: "Workload | str") -> Workload:
@@ -70,6 +81,7 @@ def run_workload(
     return system.run(
         instructions,
         warmup_instructions,
+        prewarm_accesses=PREWARM_ACCESSES,
         warm_image=warm_image,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -100,6 +112,7 @@ def run_mix(
     return system.run(
         instructions,
         warmup_instructions,
+        prewarm_accesses=PREWARM_ACCESSES,
         warm_image=warm_image,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,

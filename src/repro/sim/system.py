@@ -8,15 +8,17 @@ methodology), and assembles a :class:`~repro.sim.metrics.SimResult`.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import heapq
 from pathlib import Path
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.controller import ChannelController, FrFcfsCap, MemRequest, RequestType
 from repro.cpu import Core, Llc, RptPrefetcher, VirtualMemory
 from repro.cpu.core import TraceRecord, _MemOp
+from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
 from repro.dram import AddressMapper, CellArray, DramChannel
 from repro.energy import (
     ChannelActivity,
@@ -44,6 +46,95 @@ def _fmt_wake(time: int) -> str:
 
 def _prefetch_disabled(core_id: int, pc: int, vaddr: int, now: int) -> None:
     """No-op bound over MemoryPort._maybe_prefetch when prefetch is off."""
+
+
+#: Records pulled per core per prewarm chunk. The chunk's numpy
+#: temporaries scale with chunk size times core count and land on top
+#: of the process's peak RSS: 131072 records per core (with a whole-LLC
+#: write-back) raised a 4-core warm-forked campaign's peak by 17%. At
+#: 16384 the peak stays at the scalar loop's and per-chunk numpy costs
+#: stay amortized.
+_PREWARM_CHUNK = 16384
+
+#: When this few sets still have accesses left in a chunk, the LRU
+#: kernel finishes them with per-set Python loops instead of paying a
+#: full vector round's fixed cost per access. Hot-set workloads (libq)
+#: concentrate hundreds of accesses on a handful of sets; without the
+#: tail the round count — and with it the number of numpy dispatches —
+#: scales with the hottest set's access count.
+_SCALAR_TAIL_SETS = 96
+
+#: LLC sets materialized per block when prewarm writes its LRU matrix
+#: back into the LLC's dict-of-sets layout.
+_WRITEBACK_SETS = 1024
+
+
+def _warm_lru(tag_state, dirty_state, set_idx, tags, writes) -> None:
+    """Apply one chunk of warm accesses to the (sets, ways) LRU matrices.
+
+    Accesses are grouped per set with a stable sort; round ``r`` applies
+    the ``r``-th access of every set that has one — distinct sets, so
+    each round is one fully parallel update. Same transitions as
+    :meth:`repro.cpu.cache.Llc.warm`, access for access.
+    """
+    n_sets, ways = tag_state.shape
+    col = np.arange(ways)
+    order = np.argsort(set_idx, kind="stable")
+    counts = np.bincount(set_idx, minlength=n_sets)
+    starts = np.cumsum(counts) - counts
+    max_rounds = int(counts.max())
+    r = 0
+    while r < max_rounds:
+        active = np.nonzero(counts > r)[0]
+        if len(active) <= _SCALAR_TAIL_SETS:
+            # Tail: few sets left — replay each set's remaining accesses
+            # with plain list ops (sets are mutually independent, so
+            # per-set completion order doesn't matter).
+            for s in active.tolist():
+                pos = order[starts[s] + r : starts[s] + counts[s]]
+                row = tag_state[s].tolist()
+                drow = dirty_state[s].tolist()
+                for tag, write in zip(
+                    tags[pos].tolist(), writes[pos].tolist()
+                ):
+                    try:
+                        w = row.index(tag)
+                    except ValueError:
+                        w = 0
+                        hit = False
+                    else:
+                        hit = True
+                    touched = drow[w]
+                    del row[w]
+                    del drow[w]
+                    row.append(tag)
+                    drow.append((touched or write) if hit else write)
+                tag_state[s] = row
+                dirty_state[s] = drow
+            return
+        pos = order[starts[active] + r]
+        tag = tags[pos]
+        write = writes[pos]
+        rows = tag_state[active]
+        # Unified hit/miss transition: remove column p (the matched way
+        # on a hit; column 0 — empty way or LRU victim — on a miss, where
+        # argmax of the all-False match row is already 0), close the gap,
+        # insert at MRU.
+        p = (rows == tag[:, None]).argmax(axis=1)
+        ar = np.arange(len(active))
+        hit = rows[ar, p] == tag
+        gather = np.where(col < p[:, None], col, col + 1)
+        gather[:, ways - 1] = p
+        old_dirty = dirty_state[active]
+        touched_dirty = old_dirty[ar, p]
+        ar = ar[:, None]
+        new_rows = rows[ar, gather]
+        new_dirty = old_dirty[ar, gather]
+        new_rows[:, ways - 1] = tag
+        new_dirty[:, ways - 1] = np.where(hit, touched_dirty | write, write)
+        tag_state[active] = new_rows
+        dirty_state[active] = new_dirty
+        r += 1
 
 
 class _EventQueue:
@@ -451,10 +542,6 @@ class System:
         # is replaced by an allocation-free scan over this tuple.
         self._tickables: tuple = (*self.cores, *self.controllers)
         self.now = 0
-        #: The simulation engine driving the phase loops. Built last: the
-        #: batch engine compiles timing tables from the final (mechanism-
-        #: adjusted) timing parameters.
-        self.engine = factory.build_engine(config, self)
 
     def check_report(self, finalize: bool = True):
         """Merged conformance report across channels (requires check=True).
@@ -501,6 +588,46 @@ class System:
             if controller.next_wake <= now:
                 controller.next_wake = controller.tick(now)
 
+    def _run_until(
+        self, done: Callable[[], bool], max_cycles: int | None, phase: str
+    ) -> None:
+        """Advance the clock until ``done()``: the bare timed loop.
+
+        :meth:`_step` inlined, with the event heap and component tuples
+        held in locals and the heap popped in place. The sequence of tick
+        and event-callback calls is exactly ``_step``'s — component ticks
+        have side effects (row-timeout precharges, drain-mode flips,
+        refresh scheduling), so none may be skipped or reordered.
+        """
+        cores = self.cores
+        controllers = self.controllers
+        tickables = self._tickables
+        heap = self.events._heap
+        pop = heapq.heappop
+        limit = max_cycles if max_cycles is not None else float("inf")
+        while not done():
+            t = heap[0][0] if heap else IDLE
+            for component in tickables:
+                wake = component.next_wake
+                if wake < t:
+                    t = wake
+            if t >= IDLE:
+                raise ReproError(self._deadlock_message())
+            if t > self.now:
+                self.now = t
+            now = self.now
+            while heap and heap[0][0] <= now:
+                when, _, fn = pop(heap)
+                fn(when)
+            for core in cores:
+                if core.next_wake <= now:
+                    core.next_wake = core.tick(now)
+            for controller in controllers:
+                if controller.next_wake <= now:
+                    controller.next_wake = controller.tick(now)
+            if now > limit:
+                raise ReproError(f"{phase} exceeded max_cycles")
+
     def _deadlock_message(self) -> str:
         """Diagnostic for a stuck simulation: every component's wake time."""
         waits = [f"event-queue={_fmt_wake(self.events.next_time())}"]
@@ -526,17 +653,133 @@ class System:
         cycle simulator cannot afford to execute in timed mode. The
         records consumed here simply become part of the (untimed) past.
 
-        Delegates to the configured engine: the batch engine replaces
-        the scalar record loop with a vectorized kernel leaving behind
-        byte-identical LLC/page-table/RNG state.
+        The work is vectorized: whole ``(vaddr, is_write)`` column chunks
+        come from :meth:`TraceStream.take_arrays`; pages translate with one
+        ``np.unique`` per chunk (missing frames allocated in first-touch
+        order, so the allocator RNG advances draw for draw like the
+        per-access path); and the LLC's exact LRU automaton runs across
+        all sets at once — round ``r`` applies the ``r``-th access of
+        every set. The LLC, page table, RNG and trace cursors end up
+        byte-identical to :meth:`_prewarm_scalar`, the record-at-a-time
+        reference, which also takes over when the LLC is not fresh or a
+        trace has no array view.
         """
-        self.engine.prewarm(accesses_per_core)
+        llc = self.llc
+        traces = [core.trace for core in self.cores]
+        if (
+            llc.hits
+            or llc.misses
+            or llc.writebacks
+            or llc.prefetch_fills
+            or any(llc._sets)
+            or not all(
+                getattr(trace, "supports_arrays", False) for trace in traces
+            )
+        ):
+            self._prewarm_scalar(accesses_per_core)
+            return
+
+        config = llc.config
+        offset_bits = llc._offset_bits
+        index_mask = llc._index_mask
+        index_bits = llc._index_bits
+        ways = llc._ways
+        n_sets = config.sets
+        # Page-offset bits that survive into the line base address.
+        line_offset_mask = PAGE_MASK & ~(config.line_bytes - 1)
+        bases = [core.core_id << ASID_SHIFT for core in self.cores]
+        n_cores = len(bases)
+        # Exact LRU state, all sets at once: row = one set, columns are
+        # LRU→MRU left to right, -1 marks an empty way. Empty ways sit
+        # at the *left*, so a miss always evicts/consumes column 0.
+        tag_state = np.full((n_sets, ways), -1, dtype=np.int64)
+        dirty_state = np.zeros((n_sets, ways), dtype=bool)
+
+        remaining = accesses_per_core
+        while remaining:
+            n = min(_PREWARM_CHUNK, remaining)
+            remaining -= n
+            batches = [trace.take_arrays(n) for trace in traces]
+            lengths = [len(vaddrs) for vaddrs, _ in batches]
+            if not any(lengths):
+                break
+            # Interleave the per-core columns round-robin by access
+            # index — the scalar warm order, which fixes both the LRU
+            # state and the frame-allocation sequence.
+            if n_cores == 1:
+                vaddrs, writes = batches[0]
+                keys = bases[0] | (vaddrs >> PAGE_SHIFT)
+            elif all(length == n for length in lengths):
+                vaddrs = np.stack([v for v, _ in batches], axis=1).ravel()
+                writes = np.stack([w for _, w in batches], axis=1).ravel()
+                keys = (vaddrs >> PAGE_SHIFT) | np.tile(
+                    np.asarray(bases, dtype=np.int64), n
+                )
+            else:
+                # Ragged tail: some (finite) trace ran dry mid-chunk.
+                # Sorting by (access index, core) reproduces the scalar
+                # order, which skips exhausted streams and keeps going.
+                order = np.argsort(
+                    np.concatenate([
+                        np.arange(length) * n_cores + core
+                        for core, length in enumerate(lengths)
+                    ]),
+                    kind="stable",
+                )
+                vaddrs = np.concatenate([v for v, _ in batches])[order]
+                writes = np.concatenate([w for _, w in batches])[order]
+                keys = (vaddrs >> PAGE_SHIFT) | np.concatenate([
+                    np.full(length, base, dtype=np.int64)
+                    for base, length in zip(bases, lengths)
+                ])[order]
+            del batches
+
+            # Translation: one page-table probe per distinct page.
+            uniq, first_index, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            del keys
+            touch_order = np.argsort(first_index, kind="stable")
+            frames = np.empty(len(uniq), dtype=np.int64)
+            frames[touch_order] = self.vm.bulk_map(
+                uniq[touch_order].tolist()
+            )
+            line_ids = (
+                (frames[inverse] << PAGE_SHIFT) | (vaddrs & line_offset_mask)
+            ) >> offset_bits
+            del uniq, first_index, inverse, touch_order, frames, vaddrs
+            _warm_lru(
+                tag_state,
+                dirty_state,
+                line_ids & index_mask,
+                line_ids >> index_bits,
+                writes,
+            )
+
+        # Materialize into the LLC's dict-of-sets layout a block of sets
+        # at a time (whole-LLC tolist() lists would add megabytes of
+        # peak memory). Boolean-mask indexing is row-major, so per set
+        # the tags come out LRU-first — the key order snapshots depend
+        # on; tolist() yields plain Python ints/bools.
+        sets: list[dict] = []
+        for lo in range(0, n_sets, _WRITEBACK_SETS):
+            tag_block = tag_state[lo : lo + _WRITEBACK_SETS]
+            valid = tag_block >= 0
+            block: list[dict] = [{} for _ in range(len(tag_block))]
+            for s, tag, dirty in zip(
+                np.nonzero(valid)[0].tolist(),
+                tag_block[valid].tolist(),
+                dirty_state[lo : lo + _WRITEBACK_SETS][valid].tolist(),
+            ):
+                block[s][tag] = [dirty, False]
+            sets.extend(block)
+        llc._sets = sets
+        llc.reset_stats()
 
     def _prewarm_scalar(self, accesses_per_core: int) -> None:
-        """The reference record-at-a-time warm loop (see :meth:`prewarm`)."""
+        """The record-at-a-time warm loop: :meth:`prewarm`'s fallback and
+        the reference its vectorized kernel is tested against."""
         from itertools import chain, cycle, islice
-
-        from repro.cpu.translation import ASID_SHIFT, PAGE_MASK, PAGE_SHIFT
 
         line_mask = ~(self.llc.config.line_bytes - 1)
         translate = self.vm.translate
@@ -681,10 +924,9 @@ class System:
         run. Snapshots are only ever taken *between* ``_step()`` calls,
         where every component invariant holds.
 
-        With both snapshot features off the loops below are the exact
-        seed hot loops — the feature test happens once out here, not per
-        step, so disabled snapshotting is literally zero-cost (the
-        perf-regression gate enforces this).
+        With both snapshot features off each phase runs the bare
+        :meth:`_run_until` loop — the feature test happens once out here,
+        not per step, so disabled snapshotting is literally zero-cost.
         """
         snapshotting = (
             checkpoint_path is not None or snapshot_at_cycle is not None
@@ -702,39 +944,18 @@ class System:
             }
         if checkpoint_path is not None:
             next_checkpoint = self.now + checkpoint_every
-        if self._measure_start is None:
-            if snapshotting:
-                # Phase 1, instrumented: the shared _step() loop for every
-                # engine, so checkpoint cadence (and therefore checkpoint
-                # contents) is engine-invariant by construction.
-                while any(
-                    core.retired < warmup_instructions for core in self.cores
-                ):
-                    self._step()
-                    if max_cycles is not None and self.now > max_cycles:
-                        raise ReproError("warm-up exceeded max_cycles")
-                    if (checkpoint_path is not None
-                            and self.now >= next_checkpoint):
-                        self.save_snapshot(
-                            checkpoint_path, run_state=run_state
-                        )
-                        next_checkpoint = self.now + checkpoint_every
-                    if (snapshot_at_cycle is not None
-                            and self.now >= snapshot_at_cycle):
-                        self.save_snapshot(
-                            snapshot_path, run_state=run_state
-                        )
-                        snapshot_at_cycle = None
-            else:
-                # Phase 1, bare: the engine's warm-up driver.
-                self.engine.run_warmup(warmup_instructions, max_cycles)
-            self._begin_measurement(instructions)
-        if snapshotting:
-            # Phase 2, instrumented: checkpoint/snapshot between steps.
-            while not all(core.done for core in self.cores):
+
+        def drive(done: Callable[[], bool], phase: str) -> None:
+            nonlocal next_checkpoint, snapshot_at_cycle
+            if not snapshotting:
+                self._run_until(done, max_cycles, phase)
+                return
+            # Instrumented: one _step() at a time, checkpointing and
+            # snapshotting between steps, where every invariant holds.
+            while not done():
                 self._step()
                 if max_cycles is not None and self.now > max_cycles:
-                    raise ReproError("measurement exceeded max_cycles")
+                    raise ReproError(f"{phase} exceeded max_cycles")
                 if (checkpoint_path is not None
                         and self.now >= next_checkpoint):
                     self.save_snapshot(checkpoint_path, run_state=run_state)
@@ -743,9 +964,17 @@ class System:
                         and self.now >= snapshot_at_cycle):
                     self.save_snapshot(snapshot_path, run_state=run_state)
                     snapshot_at_cycle = None
-        else:
-            # Phase 2, bare: the engine's measurement driver.
-            self.engine.run_measured(max_cycles)
+
+        cores = self.cores
+        if self._measure_start is None:
+            drive(
+                lambda: all(
+                    core.retired >= warmup_instructions for core in cores
+                ),
+                "warm-up",
+            )
+            self._begin_measurement(instructions)
+        drive(lambda: all(core.done for core in cores), "measurement")
         result = self._collect(instructions)
         if checkpoint_path is not None:
             # The run completed: a leftover checkpoint would make a later
@@ -1047,7 +1276,6 @@ class System:
         cls,
         path: "str | Path",
         config: SystemConfig | None = None,
-        engine: str | None = None,
     ) -> "tuple[System, dict | None]":
         from repro.sim.campaign import config_digest
         from repro.snapshot.container import read_snapshot
@@ -1060,13 +1288,6 @@ class System:
                 "load_warm_image)"
             )
         saved_config = payload["config"]
-        if engine is not None:
-            # Cross-engine restore: the engine is excluded from config
-            # digests, so a snapshot taken under either engine resumes
-            # under either. replace() only reads fields *not* being
-            # overridden off the old instance, so configs pickled before
-            # the engine field existed restore cleanly too.
-            saved_config = dataclasses.replace(saved_config, engine=engine)
         if config is not None:
             expected = config_digest(config)
             if expected != header["config_digest"]:
@@ -1092,7 +1313,6 @@ class System:
         cls,
         path: "str | Path",
         config: SystemConfig | None = None,
-        engine: str | None = None,
     ) -> "System":
         """Rebuild a system from a full snapshot.
 
@@ -1100,10 +1320,8 @@ class System:
         (geometry, retention profiling, boot-time remaps), then the saved
         state overwrites everything mutable. Passing ``config`` asserts
         the snapshot is compatible with it (:class:`ConfigError` if not).
-        ``engine`` overrides the saved config's engine choice — digests
-        are engine-invariant, so any snapshot restores under any engine.
         """
-        system, _ = cls._restore_with_run(path, config, engine=engine)
+        system, _ = cls._restore_with_run(path, config)
         return system
 
     @classmethod
@@ -1111,7 +1329,6 @@ class System:
         cls,
         path: "str | Path",
         checkpoint_every: int | None = None,
-        engine: str | None = None,
     ) -> SimResult:
         """Continue a checkpointed run to completion.
 
@@ -1119,10 +1336,9 @@ class System:
         :meth:`run` (it carries the loop parameters). Checkpointing
         continues into the same file — at the saved cadence, or at
         ``checkpoint_every`` if given — and the file is removed when the
-        run completes. ``engine`` optionally switches the engine the
-        continuation runs on (the result is engine-invariant).
+        run completes.
         """
-        system, run_state = cls._restore_with_run(path, engine=engine)
+        system, run_state = cls._restore_with_run(path)
         if run_state is None:
             raise SnapshotError(
                 f"{path}: snapshot carries no run state and cannot be "

@@ -74,29 +74,33 @@ class ForkGroup:
     name: str                  # image file stem (hash of the group key)
     warm_digest: str           # warmup_digest of the member configs
     indices: tuple[int, ...]   # positions of the members in the input
-    prewarm_accesses: int
 
     @property
     def filename(self) -> str:
         return f"{self.name}.warm"
 
 
-def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
+def fork_groups(specs) -> list[ForkGroup]:
     """Group task specs by warm-compatibility key.
 
     Two specs land in one group exactly when a single functional
     pre-warm can seed both: equal :func:`warmup_digest` (config surface)
-    plus identical trace identity (kind, workload names, seed) and
-    pre-warm length. Group naming is content-derived and process-stable,
-    so independently computed groups agree on image file names.
+    plus identical trace identity (kind, workload names, seed). The key
+    also carries the pre-warm length
+    (:data:`repro.sim.sweep.PREWARM_ACCESSES`), so changing it renames
+    every image instead of adopting stale ones. Group naming is
+    content-derived and process-stable, so independently computed groups
+    agree on image file names.
     """
+    from repro.sim.sweep import PREWARM_ACCESSES
+
     keyed: "dict[str, tuple[str, list[int]]]" = {}
     order: list[str] = []
     for index, spec in enumerate(specs):
         warm_digest = warmup_digest(spec.config)
         key = json.dumps(
             [warm_digest, spec.kind, list(spec.names), spec.seed,
-             prewarm_accesses],
+             PREWARM_ACCESSES],
             sort_keys=True,
         )
         if key not in keyed:
@@ -107,9 +111,7 @@ def fork_groups(specs, prewarm_accesses: int = 200_000) -> list[ForkGroup]:
     for key in order:
         warm_digest, indices = keyed[key]
         name = hashlib.sha256(key.encode()).hexdigest()[:20]
-        groups.append(ForkGroup(
-            name, warm_digest, tuple(indices), prewarm_accesses
-        ))
+        groups.append(ForkGroup(name, warm_digest, tuple(indices)))
     return groups
 
 
@@ -119,18 +121,19 @@ def build_warm_image(
     config,
     seed: int = 0,
     kind: str = "wl",
-    prewarm_accesses: int = 200_000,
 ) -> Path:
     """Build one warm image: construct, pre-warm, persist.
 
     ``kind``/``names``/``seed`` follow :class:`repro.exec.task.TaskSpec`
     semantics ('wl' = one single-core workload, 'mix' = one workload per
-    core with hash-derived per-core seeds).
+    core with hash-derived per-core seeds). The pre-warm length is
+    :data:`repro.sim.sweep.PREWARM_ACCESSES`, the length the runs that
+    load the image expect.
     """
     from dataclasses import replace
 
     from repro.errors import ConfigError
-    from repro.sim.sweep import _stream, derive_trace_seed
+    from repro.sim.sweep import PREWARM_ACCESSES, _stream, derive_trace_seed
     from repro.sim.system import System
 
     path = Path(path)
@@ -148,6 +151,6 @@ def build_warm_image(
     else:
         raise ConfigError(f"unknown warm-image kind {kind!r}")
     system = System(config, streams)
-    system.prewarm(prewarm_accesses)
-    system.save_warm_image(path, prewarm_accesses=prewarm_accesses)
+    system.prewarm(PREWARM_ACCESSES)
+    system.save_warm_image(path, prewarm_accesses=PREWARM_ACCESSES)
     return path

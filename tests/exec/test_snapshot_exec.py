@@ -154,6 +154,23 @@ class TestWarmFork:
         assert fork["warm_s"] > 0
         assert Path(fork["image"]).is_file()
 
+    def test_forked_image_has_the_runs_prewarm_length(self, tmp_path):
+        """The image builder and every forked task's loader share one
+        prewarm count, so no forked task can reject its image."""
+        from repro.sim.sweep import PREWARM_ACCESSES
+        from repro.snapshot import read_header
+
+        journal = tmp_path / "journal.jsonl"
+        specs = [spec_for(m) for m in ("baseline", "crow-cache")]
+        with ParallelCampaign(
+            tmp_path / "cache", jobs=1, retries=0, journal=journal,
+        ) as campaign:
+            outcomes = campaign.run_forked(specs, tmp_path / "warm")
+        assert all(outcome.ok for outcome in outcomes)
+        (fork,) = events(read_journal(journal), "warm_fork")
+        header = read_header(fork["image"])
+        assert header["prewarm_accesses"] == PREWARM_ACCESSES
+
     def test_singleton_group_runs_cold(self, tmp_path):
         """A group of one spec with no pre-built image amortizes nothing
         — it must skip image building and still produce the oracle
