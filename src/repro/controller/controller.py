@@ -9,6 +9,16 @@ The controller is event-paced: :meth:`ChannelController.tick` issues at
 most one DRAM command (the command bus carries one command per cycle) and
 returns the next cycle at which calling it again can possibly make
 progress, so the simulation loop can skip dead time.
+
+Scheduling is incremental. A controller *epoch* advances on every
+enqueue, dequeue and issued command; each bank has its own epoch that
+advances on every command to that bank (and, for REF, to every bank).
+A scheduling pass that issued nothing is kept and reused while the
+controller epoch stands still; each request memoizes its row-hit status
+under its bank's epoch; and within a pass the earliest-issue time is
+computed once per command class, bank and subarray. The mechanism is
+asked for an activation plan only for the candidate actually issued.
+``docs/internals.md`` §15 states what each epoch guards.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from repro.controller.mechanism import ActivationPlan, Mechanism, NoMechanism
 from repro.controller.request import MemRequest, RequestType
 from repro.controller.scheduler import FrFcfsCap, Scheduler
 from repro.dram.commands import Command, CommandKind, RowId
-from repro.dram.device import DramChannel
+from repro.dram.device import DramChannel, IssueResult
 from repro.dram.timing import REF_COMMANDS_PER_WINDOW
 from repro.errors import ConfigError
 from repro.units import ns_to_cycles
@@ -29,6 +39,11 @@ __all__ = ["ControllerConfig", "ChannelController"]
 
 #: Sentinel wake time for "nothing to do until an external event".
 IDLE = 1 << 62
+
+#: Command classes of a scheduling candidate besides its column access,
+#: whose class is the request's own ``RequestType``.
+_PRE_CLASS = "pre"
+_ACT_CLASS = "act"
 
 
 @dataclass(frozen=True)
@@ -43,7 +58,10 @@ class ControllerConfig:
     #: Timeout row policy: close an open row after this long without
     #: pending requests to it. ``None`` selects an open-page policy.
     row_timeout_ns: float | None = 75.0
-    #: Maximum ranked candidates evaluated for readiness per tick.
+    #: Maximum ranked candidates evaluated for readiness per tick. The
+    #: window counts candidates, not distinct commands: candidates that
+    #: share a command class, bank and subarray each take a slot even
+    #: though their earliest-issue time is computed once per pass.
     scheduler_window: int = 12
     #: Enable store-to-load forwarding from the write queue.
     write_forwarding: bool = True
@@ -86,11 +104,19 @@ class ChannelController:
         self.schedule_event = schedule_event
         self.refresh_enabled = refresh_enabled
         # Construction-time override detection: mechanisms that pace
-        # their own work (HiRA) override next_wake; everyone else pays
-        # one `is not None` branch per tick instead of a method call.
+        # their own work (HiRA) override next_wake, and those that start
+        # activations of their own (RowHammer, HiRA, CnC-PRAC) override
+        # urgent_plan; everyone else pays one `is not None` branch per
+        # tick instead of a method call.
+        mechanism_type = type(self.mechanism)
         self._mech_wake = (
             self.mechanism.next_wake
-            if type(self.mechanism).next_wake is not Mechanism.next_wake
+            if mechanism_type.next_wake is not Mechanism.next_wake
+            else None
+        )
+        self._mech_urgent = (
+            self.mechanism.urgent_plan
+            if mechanism_type.urgent_plan is not Mechanism.urgent_plan
             else None
         )
 
@@ -121,10 +147,29 @@ class ChannelController:
         self._salp_pre_cmds: dict[tuple[int, int], Command] = {}
         self._ref_cmd = Command(CommandKind.REF)
         # Activation commands are likewise immutable and fully determined
-        # by (kind, bank, rows, timings); candidates are re-planned every
-        # scheduling pass until they issue, so the same command is built
-        # many times over.
+        # by (kind, bank, rows, timings); the same plan recurs (a CROW-
+        # table hit, an urgent plan re-polled until it issues), so each
+        # command is built once.
         self._act_cmds: dict[tuple, Command] = {}
+        # Plain ACTs keyed by (bank, subarray), used only to ask the
+        # device for a closed bank's earliest activation time: that time
+        # depends on the bank (subarray, under SALP) and on rank-scope
+        # state, never on which activation the mechanism will plan.
+        self._act_probes: dict[tuple[int, int], Command] = {}
+
+        # Incremental scheduling state: derived, never serialized. The
+        # controller epoch advances on enqueue, dequeue and every issued
+        # command; a bank's epoch is set to the controller epoch by any
+        # command to that bank (REF: to every bank).
+        self._epoch = 0
+        self._bank_epoch = [0] * self.geometry.banks_per_channel
+        #: The last scheduling pass that issued nothing:
+        #: ``(epoch, queue, candidates, earliest)``, candidates being
+        #: ``(earliest, request, row memo)`` in rank order.
+        self._failed_pass: tuple | None = None
+        #: ``(epoch, next expiry)`` of the last row-timeout scan that
+        #: issued nothing.
+        self._timeout_memo: tuple[int, int] = (-1, 0)
 
         # Statistics.
         self.stats = {
@@ -173,6 +218,7 @@ class ChannelController:
                     self.stats["write_drains"] += 1
                 self.drain_mode = True
         self.bank_pending[request.location.bank] += 1
+        self._epoch += 1
         return True
 
     @property
@@ -188,11 +234,10 @@ class ChannelController:
         if self.refresh_enabled and now >= self.next_ref:
             return self._do_refresh(now)
 
-        urgent = self.mechanism.urgent_plan(now)
-        if urgent is not None:
-            wake = self._serve_urgent(urgent, now)
-            if wake is not None:
-                return wake
+        if self._mech_urgent is not None:
+            urgent = self._mech_urgent(now)
+            if urgent is not None:
+                return self._serve_urgent(urgent, now)
 
         queue = self._active_queue()
         if queue:
@@ -207,6 +252,22 @@ class ChannelController:
         if self._mech_wake is not None:
             wake = min(wake, self._mech_wake(now))
         return max(now + 1, min(wake, timeout_wake, self.next_ref))
+
+    def _issue(self, command: Command, now: int) -> IssueResult:
+        """Issue ``command`` on the channel and advance the epochs.
+
+        Every command the controller issues goes through here, so no
+        scheduling memo outlives the state it was computed from.
+        """
+        result = self.channel.issue(command, now)
+        epoch = self._epoch + 1
+        self._epoch = epoch
+        if command.kind is CommandKind.REF:
+            bank_epoch = self._bank_epoch
+            bank_epoch[:] = [epoch] * len(bank_epoch)
+        else:
+            self._bank_epoch[command.bank] = epoch
+        return result
 
     # ------------------------------------------------------------------
     # Refresh handling
@@ -229,7 +290,7 @@ class ChannelController:
             return earliest
         cursor = self.channel.refresh_cursor
         rows_per_ref = max(1, self.geometry.rows_per_bank // REF_COMMANDS_PER_WINDOW)
-        self.channel.issue(ref, now)
+        self._issue(ref, now)
         self.stats["refreshes"] += 1
         self.mechanism.on_refresh(range(cursor, cursor + rows_per_ref), now)
         self.next_ref += self.timing.trefi
@@ -238,11 +299,8 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Mechanism-initiated (urgent) activations
     # ------------------------------------------------------------------
-    def _serve_urgent(
-        self, urgent: tuple[int, ActivationPlan], now: int
-    ) -> int | None:
-        """Issue one command toward an urgent plan; return the wake time,
-        or None to fall through to normal queue service this tick."""
+    def _serve_urgent(self, urgent: tuple[int, ActivationPlan], now: int) -> int:
+        """Issue one command toward an urgent plan; return the wake time."""
         bank_index, plan = urgent
         bank = self.channel.banks[bank_index]
         if bank.is_open:
@@ -252,15 +310,10 @@ class ChannelController:
                 self._issue_pre(pre, now)
                 return now + 1
             return earliest
-        command = Command(
-            plan.kind, bank=bank_index, rows=plan.rows, timings=plan.timings
-        )
+        command = self._act_command(bank_index, plan)
         earliest = self.channel.earliest_issue(command)
         if earliest <= now:
-            self.channel.issue(command, now)
-            self.hit_streak[bank_index] = 0
-            self.bank_last_use[bank_index] = now
-            self.mechanism.on_activate(bank_index, plan, now)
+            self._issue_act(bank_index, command, plan, now)
             return now + 1
         return earliest
 
@@ -284,80 +337,100 @@ class ChannelController:
 
         Returns ``(issued, earliest)`` where ``earliest`` is the soonest
         time any evaluated candidate could have issued (IDLE if none).
+
+        A pass that issues nothing is kept. Until the controller epoch
+        moves, the ranking and every candidate's earliest-issue time are
+        unchanged (neither depends on ``now``), so a later tick on the
+        same queue issues the first kept candidate that has become ready,
+        exactly as a full re-rank would.
         """
-        earliest_any = IDLE
-        evaluated = 0
-        # Bank state cannot change between ranking and candidate
-        # evaluation (issuing returns immediately below), so the
-        # (service row, open rows) pair the ranking probe computes is
-        # still valid when the candidate is evaluated — memoize it per
-        # request instead of recomputing in _next_command.
+        kept = self._failed_pass
+        if kept is not None and kept[0] == self._epoch and kept[1] is queue:
+            if kept[3] > now:
+                return False, kept[3]
+            for earliest, request, memo in kept[2]:
+                if earliest <= now:
+                    self._issue_for_request(request, memo, now)
+                    return True, now
+
+        bank_epoch = self._bank_epoch
         service_row = self.mechanism.service_row
         open_rows_of = self._open_rows
-        rowinfo: dict[int, tuple] = {}
 
         def is_hit(request: MemRequest) -> bool:
-            bank = request.location.bank
-            srow = service_row(bank, request.location.row)
+            location = request.location
+            bank = location.bank
+            memo = request.row_memo
+            if memo is not None and memo[0] == bank_epoch[bank]:
+                return memo[3]
+            srow = service_row(bank, location.row)
             open_rows = open_rows_of(bank, srow)
-            rowinfo[id(request)] = (srow, open_rows)
-            return open_rows is not None and srow in open_rows
+            hit = open_rows is not None and srow in open_rows
+            request.row_memo = (bank_epoch[bank], srow, open_rows, hit)
+            return hit
 
+        salp = self._salp
+        earliest_issue = self.channel.earliest_issue
+        class_earliest: dict[tuple, int] = {}
+        candidates = []
+        earliest_any = IDLE
+        window = self.config.scheduler_window
         for request in self.scheduler.ranked(queue, is_hit, self._streak_of):
-            command, plan = self._next_command(
-                request, now, rowinfo.get(id(request))
-            )
-            earliest = self.channel.earliest_issue(command)
+            bank = request.location.bank
+            memo = request.row_memo
+            if memo is None or memo[0] != bank_epoch[bank]:
+                is_hit(request)     # schedulers need not probe every request
+                memo = request.row_memo
+            srow = memo[1]
+            if memo[3]:
+                command_class = request.type
+            elif memo[2] is not None:
+                command_class = _PRE_CLASS
+            else:
+                command_class = _ACT_CLASS
+            key = (command_class, bank, srow.subarray if salp else 0)
+            earliest = class_earliest.get(key)
+            if earliest is None:
+                if command_class is _ACT_CLASS:
+                    command = self._act_probe(bank, srow)
+                elif command_class is _PRE_CLASS:
+                    command = self._pre_command(bank, srow.subarray)
+                else:
+                    command = self._column_command(request, bank, srow)
+                earliest = class_earliest[key] = earliest_issue(command)
             if earliest <= now:
-                self._issue_for_request(request, command, plan, now)
+                self._issue_for_request(request, memo, now)
                 return True, now
-            earliest_any = min(earliest_any, earliest)
-            evaluated += 1
-            if evaluated >= self.config.scheduler_window:
+            candidates.append((earliest, request, memo))
+            if earliest < earliest_any:
+                earliest_any = earliest
+            if len(candidates) >= window:
                 break
+        self._failed_pass = (self._epoch, queue, candidates, earliest_any)
         return False, earliest_any
 
     def _streak_of(self, request: MemRequest) -> int:
         return self.hit_streak[request.location.bank]
 
-    def _next_command(
-        self,
-        request: MemRequest,
-        now: int,
-        rowinfo: tuple | None = None,
-    ) -> tuple[Command, ActivationPlan | None]:
-        """The next DRAM command needed to advance ``request``.
+    def _column_command(
+        self, request: MemRequest, bank: int, srow: RowId
+    ) -> Command:
+        """The RD/WR serving ``request`` from its open row (memoized)."""
+        subarray = srow.subarray if self._salp else None
+        cached = request.col_cmd
+        if cached is not None and cached[0] == subarray:
+            return cached[1]
+        command = Command(
+            CommandKind.RD if request.type is RequestType.READ else CommandKind.WR,
+            bank=bank,
+            col=request.location.col,
+            subarray=subarray,
+        )
+        request.col_cmd = (subarray, command)
+        return command
 
-        ``plan_activation`` must be side-effect free: the controller may
-        evaluate several candidates per tick and re-plan on later ticks;
-        mechanisms mutate their state only in ``on_activate``.
-        ``rowinfo`` is an optional ``(service row, open rows)`` pair
-        memoized by the ranking probe within the same scheduling pass.
-        """
-        bank = request.location.bank
-        if rowinfo is not None:
-            srow, open_rows = rowinfo
-        else:
-            srow = self.mechanism.service_row(bank, request.location.row)
-            open_rows = self._open_rows(bank, srow)
-        if open_rows is not None and srow in open_rows:
-            subarray = srow.subarray if self._salp else None
-            cached = request.col_cmd
-            if cached is not None and cached[0] == subarray:
-                return cached[1], None
-            command = Command(
-                CommandKind.RD
-                if request.type is RequestType.READ
-                else CommandKind.WR,
-                bank=bank,
-                col=request.location.col,
-                subarray=subarray,
-            )
-            request.col_cmd = (subarray, command)
-            return command, None
-        if open_rows is not None:
-            return self._pre_command(bank, srow.subarray), None
-        plan = self.mechanism.plan_activation(bank, request.location.row, now)
+    def _act_command(self, bank: int, plan: ActivationPlan) -> Command:
+        """The activation command carrying out ``plan`` (memoized)."""
         key = (plan.kind, bank, plan.rows, plan.timings)
         command = self._act_cmds.get(key)
         if command is None:
@@ -365,49 +438,66 @@ class ChannelController:
                 plan.kind, bank=bank, rows=plan.rows, timings=plan.timings
             )
             self._act_cmds[key] = command
-        return command, plan
+        return command
+
+    def _act_probe(self, bank: int, srow: RowId) -> Command:
+        """A plain ACT whose earliest-issue time is any activation's for
+        ``srow``'s bank (and subarray, under SALP)."""
+        key = (bank, srow.subarray if self._salp else 0)
+        command = self._act_probes.get(key)
+        if command is None:
+            command = self._act_probes[key] = Command(
+                CommandKind.ACT, bank=bank, rows=(srow,)
+            )
+        return command
 
     def _issue_for_request(
-        self,
-        request: MemRequest,
-        command: Command,
-        plan: ActivationPlan | None,
-        now: int,
+        self, request: MemRequest, memo: tuple, now: int
     ) -> None:
-        bank = command.bank
-        kind = command.kind
-        if kind in (CommandKind.RD, CommandKind.WR):
-            result = self.channel.issue(command, now)
+        """Issue the next command ``request`` needs, given its row memo."""
+        _, srow, open_rows, hit = memo
+        bank = request.location.bank
+        if hit:
+            command = self._column_command(request, bank, srow)
+            result = self._issue(command, now)
             self.hit_streak[bank] += 1
             self.bank_last_use[bank] = now
             self.stats["row_hits"] += 1
             self._dequeue(request)
-            if kind is CommandKind.RD:
+            if command.kind is CommandKind.RD:
                 self.stats["reads_served"] += 1
                 self._complete(request, result.data_at)
             else:
                 self.stats["writes_served"] += 1
                 self._complete(request, result.done_at)
-        elif kind is CommandKind.PRE:
-            result = self.channel.issue(command, now)
-            self.hit_streak[bank] = 0
+        elif open_rows is not None:
+            self._issue_pre(self._pre_command(bank, srow.subarray), now)
             self.stats["row_conflicts"] += 1
-            assert result.precharge is not None
-            self.mechanism.on_precharge(bank, result.precharge, now)
-        else:  # activation
-            assert plan is not None
-            self.channel.issue(command, now)
-            self.hit_streak[bank] = 0
-            self.bank_last_use[bank] = now
+        else:
+            # Planned here, at the issuing tick, and only for the issued
+            # candidate: plan_activation must be a pure function of the
+            # mechanism state and ``now``.
+            plan = self.mechanism.plan_activation(
+                bank, request.location.row, now
+            )
             self.stats["row_misses"] += 1
             if plan.is_restore:
                 self.stats["restore_activations"] += 1
-            self.mechanism.on_activate(bank, plan, now)
+            self._issue_act(bank, self._act_command(bank, plan), plan, now)
+
+    def _issue_act(
+        self, bank: int, command: Command, plan: ActivationPlan, now: int
+    ) -> None:
+        self._issue(command, now)
+        self.hit_streak[bank] = 0
+        self.bank_last_use[bank] = now
+        self.mechanism.on_activate(bank, plan, now)
 
     def _dequeue(self, request: MemRequest) -> None:
         queue = self.read_q if request.type is RequestType.READ else self.write_q
         queue.remove(request)
         self.bank_pending[request.location.bank] -= 1
+        self._epoch += 1
 
     def _complete(self, request: MemRequest, finish: int) -> None:
         request.completed_at = finish
@@ -461,19 +551,32 @@ class ChannelController:
         self.bank_pending = list(state["bank_pending"])
         self.stats = dict(state["stats"])
         self.mechanism.load_state_dict(state["mechanism"])
+        # New queues, bank state and mechanism state: drop every memo.
+        self._epoch += 1
+        self._bank_epoch = [self._epoch] * len(self._bank_epoch)
+        self._failed_pass = None
 
     # ------------------------------------------------------------------
     # Row-buffer policy
     # ------------------------------------------------------------------
     def _apply_row_timeout(self, now: int) -> int:
-        """Close idle open rows after the timeout; return next expiry."""
+        """Close idle open rows after the timeout; return next expiry.
+
+        A scan that issued nothing stays valid while the controller
+        epoch stands still and ``now`` is below its result: no bank's
+        open state, last use, pending count or earliest PRE can change
+        without an epoch step.
+        """
         if self.row_timeout is None:
             return IDLE
+        epoch, kept = self._timeout_memo
+        if epoch == self._epoch and now < kept:
+            return kept
         next_expiry = IDLE
         for bank_index, bank in enumerate(self.channel.banks):
             if not bank.is_open:
                 continue
-            if self._bank_has_pending(bank_index):
+            if self.bank_pending[bank_index] > 0:
                 continue
             expiry = self.bank_last_use[bank_index] + self.row_timeout
             if expiry > now:
@@ -485,13 +588,11 @@ class ChannelController:
                 self._issue_pre(pre, now)
                 return now + 1
             next_expiry = min(next_expiry, earliest)
+        self._timeout_memo = (self._epoch, next_expiry)
         return next_expiry
 
-    def _bank_has_pending(self, bank_index: int) -> bool:
-        return self.bank_pending[bank_index] > 0
-
     def _issue_pre(self, pre: Command, now: int) -> None:
-        result = self.channel.issue(pre, now)
+        result = self._issue(pre, now)
         self.hit_streak[pre.bank] = 0
         assert result.precharge is not None
         self.mechanism.on_precharge(pre.bank, result.precharge, now)

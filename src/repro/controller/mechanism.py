@@ -73,9 +73,10 @@ class Mechanism:
         self.geometry = geometry
         self.timing = timing
         # row -> RowId memo for the identity mapping (geometry is fixed
-        # per instance). The controller calls service_row several times
-        # per scheduling pass; subclasses with *dynamic* redirection
-        # (CROW-ref and friends) override service_row and skip this memo.
+        # per instance). The controller calls service_row for every
+        # queued request whose bank saw a command since its last probe;
+        # subclasses with *dynamic* redirection (CROW-ref and friends)
+        # override service_row and skip this memo.
         self._service_rows: dict[int, RowId] = {}
 
     # ------------------------------------------------------------------
@@ -87,6 +88,11 @@ class Mechanism:
         Row-hit detection uses this: a request hits if the serving row is
         among the bank's open rows. CROW-ref redirects weak rows to their
         copy rows here.
+
+        The controller memoizes the answer per request until the bank
+        sees its next command, so the mapping of ``bank``'s rows may
+        change only inside a hook called for that bank (``on_activate``,
+        ``on_precharge``) or in ``on_refresh``.
         """
         rid = self._service_rows.get(row)
         if rid is None:
@@ -95,7 +101,16 @@ class Mechanism:
         return rid
 
     def plan_activation(self, bank: int, row: int, now: int) -> ActivationPlan:
-        """Decide how to activate regular row ``row`` of ``bank``."""
+        """Decide how to activate regular row ``row`` of ``bank``.
+
+        Must be side-effect free: a pure function of the mechanism's
+        state and ``now``. The controller calls it only for the request
+        it is about to activate, at the issuing cycle, and issues the
+        plan straight away; all state changes belong in ``on_activate``.
+        Whatever the plan, its first row must lie in the subarray of
+        :meth:`service_row`'s answer (the controller reads a closed
+        bank's earliest activation time before planning).
+        """
         return ActivationPlan(
             kind=CommandKind.ACT,
             rows=(self.service_row(bank, row),),

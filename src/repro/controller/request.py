@@ -35,6 +35,7 @@ class MemRequest:
         "issued_at",
         "completed_at",
         "col_cmd",
+        "row_memo",
     )
 
     def __init__(
@@ -60,6 +61,10 @@ class MemRequest:
         #: request's column access (the command is invariant per serving
         #: subarray, so the scheduler builds it once).
         self.col_cmd: "tuple | None" = None
+        #: Controller-owned memo: ``(bank epoch, service row, open rows,
+        #: row hit)`` from the last ranking probe. Valid while the bank's
+        #: epoch is unchanged (see :mod:`repro.controller.controller`).
+        self.row_memo: "tuple | None" = None
 
     def __call__(self, finish: int) -> None:
         """Fire the completion callback (the request is its own event).
@@ -78,8 +83,8 @@ class MemRequest:
         """Request state minus live object references.
 
         ``location`` is rebuilt from the address by the mapper and the
-        ``col_cmd`` memo is dropped (it regenerates on the next scheduler
-        pass); ``callback_tag`` names the callback symbolically (the owner
+        ``col_cmd`` and ``row_memo`` memos are dropped (they regenerate on
+        the next scheduler pass); ``callback_tag`` names the callback symbolically (the owner
         resolves it back to a bound method on load).
         """
         return {

@@ -9,7 +9,8 @@ plain FR-FCFS.
 The scheduler ranks requests; the controller evaluates them in rank order
 and issues the first whose next required DRAM command is ready. Ranking
 and readiness are deliberately separated so the policy stays independent
-of the timing engine.
+of the timing engine. Schedulers are stateless: a ranking depends only on
+the arguments of :meth:`Scheduler.ranked`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class Scheduler:
         """Yield requests in descending priority (FCFS by default).
 
         ``requests`` is maintained in arrival order by the controller.
+        The ranking must be a pure function of ``requests``,
+        ``is_row_hit`` and ``bank_hit_streak``: the controller reuses a
+        ranking until one of them can have changed, so a scheduler may
+        keep no state that alters its order between calls.
         """
         return iter(requests)
 

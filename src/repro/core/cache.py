@@ -52,8 +52,8 @@ def crow_act_t_timings(
     Pure function of the CROW timing factors and the config knobs — the
     single source both the live mechanism (:class:`CrowCache`) and the
     compiled engine tables (:mod:`repro.engine.tables`) derive from.
-    Cached: the controller re-plans candidate activations every
-    scheduling pass, and all inputs are frozen dataclasses or bools.
+    Cached: every CROW-cache activation plan asks for it, and all
+    inputs are frozen dataclasses or bools.
     """
     trcd = crow.trcd_act_t_full if fully_restored else crow.trcd_act_t_partial
     if force_full:
